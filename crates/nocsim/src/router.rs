@@ -90,6 +90,23 @@ impl InputVc {
     }
 }
 
+/// Memo of a head flit's last failed VC allocation, kept beside
+/// [`InputVc`] rather than in it so the VA and SA scans stay dense.
+#[derive(Debug, Clone, Copy, Default)]
+struct FailedHead {
+    /// The head's candidate output ports, one bit per port (see
+    /// [`port_bit`]).
+    ports: u64,
+    /// VA epoch of the failure; 0 means no memo.
+    epoch: u64,
+}
+
+/// Bit index of `port` in a [`FailedHead`] mask. Ports past 63 share the
+/// top bit, which only makes the memo more conservative.
+fn port_bit(port: usize) -> usize {
+    port.min(63)
+}
+
 /// Per-output-VC state.
 #[derive(Debug, Clone)]
 struct OutputVc {
@@ -168,6 +185,16 @@ impl StallCounters {
 /// flit awaits an output binding — VC allocation exits immediately at
 /// zero) and `sa_candidates[port]` (bound input VCs with buffered flits —
 /// switch allocation skips ports at zero).
+///
+/// VC allocation also memoizes failure. Between *raises* (events that can
+/// make an output VC allocatable: a credit on an unowned output VC, a
+/// tail releasing one, a new unbound head, a recount) outputs only lose
+/// credits or gain owners, so a head that found nothing allocatable
+/// still finds nothing. A pass that binds no head marks the whole router
+/// stuck, and later passes only replay the failing pass's bookkeeping;
+/// a head whose candidate ports were not raised since it failed is
+/// skipped without re-running the selection. A failing selection draws
+/// no policy RNG, so the skip is exact under every router model.
 #[derive(Debug, Clone)]
 pub struct Router {
     id: RouterId,
@@ -195,6 +222,19 @@ pub struct Router {
     nominees: Vec<Nominee>,
     /// Cumulative stall-cause tallies (observability only).
     stalls: StallCounters,
+    /// VC-allocation passes that scanned the heads (the memo clock).
+    va_epoch: u64,
+    /// The last scanning pass bound no head and nothing was raised since.
+    va_stuck: bool,
+    /// Per input VC: the memo of its head's last failed allocation,
+    /// dropped when the head binds.
+    failed: Vec<FailedHead>,
+    /// Input VCs holding a memo. At zero nothing can be skipped, so raises
+    /// record nothing and VA never reads `failed`: the common case below
+    /// the knee costs one counter test.
+    memos: usize,
+    /// Per port bit: the VA epoch of the port's last raise.
+    raised_at: Vec<u64>,
     /// Policy-RNG state (splitmix64); a per-router stream derived from
     /// the run seed. Only [`VcAllocPolicy::Random`] draws from it, and
     /// only while a head awaits allocation, so the draw sequence is a
@@ -237,6 +277,11 @@ impl Router {
             sa_candidates: vec![0; num_ports],
             nominees: Vec::with_capacity(num_ports),
             stalls: StallCounters::default(),
+            va_epoch: 0,
+            va_stuck: false,
+            failed: vec![FailedHead::default(); num_ports * params.vcs],
+            memos: 0,
+            raised_at: vec![0; num_ports.min(64)],
             rng: params.seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         }
     }
@@ -299,6 +344,7 @@ impl Router {
                 self.sa_candidates[in_port] += 1;
             } else {
                 self.unbound_heads += 1;
+                self.va_stuck = false;
             }
         }
         self.inputs[idx].buffer.push_back(flit);
@@ -310,6 +356,7 @@ impl Router {
     /// # Panics
     ///
     /// Panics if credits would exceed the downstream buffer depth.
+    #[inline]
     pub fn receive_credit(&mut self, out_port: usize, credit: Credit) {
         let out = &mut self.outputs[out_port * self.params.vcs + credit.vc];
         out.credits += 1;
@@ -319,6 +366,39 @@ impl Router {
             self.id,
             credit.vc
         );
+        // A credit on an owned VC cannot make it allocatable: only the
+        // owner's tail leaving can, and that raises the port then.
+        if out.owner.is_none() {
+            self.raise(out_port);
+        }
+    }
+
+    /// Records that an output VC on `port` may have become allocatable.
+    /// Without memos there is nothing to record: the router is not stuck
+    /// (a stuck pass memoizes every head), and any later memo is younger
+    /// than this raise.
+    fn raise(&mut self, port: usize) {
+        debug_assert!(self.memos > 0 || !self.va_stuck, "stuck router without memos");
+        if self.memos > 0 {
+            self.raised_at[port_bit(port)] = self.va_epoch;
+            self.va_stuck = false;
+        }
+    }
+
+    /// `true` while the memo proves the head of input VC `idx` still
+    /// cannot bind: it failed, and none of its ports was raised since.
+    fn still_failed(&self, idx: usize) -> bool {
+        let FailedHead { mut ports, epoch } = self.failed[idx];
+        if epoch == 0 {
+            return false;
+        }
+        while ports != 0 {
+            if self.raised_at[ports.trailing_zeros() as usize] >= epoch {
+                return false;
+            }
+            ports &= ports - 1;
+        }
+        true
     }
 
     /// Virtual-channel allocation: every input VC whose head flit is a
@@ -326,7 +406,9 @@ impl Router {
     ///
     /// Exits immediately when no head awaits a binding (the common steady
     /// state for a busy router streaming body flits), and stops scanning
-    /// once every waiting head has been visited.
+    /// once every waiting head has been visited. A stuck router, and a
+    /// head whose failure is memoized, only get the failing pass's
+    /// bookkeeping (see [`Router`]).
     pub fn allocate_vcs(&mut self, ctx: RouteContext<'_>) {
         if self.unbound_heads == 0 {
             return;
@@ -337,6 +419,17 @@ impl Router {
         if self.va_rr >= total_vcs {
             self.va_rr = 0;
         }
+        if self.va_stuck {
+            debug_assert!(
+                self.inputs.iter().all(|s| s.bound.is_some()
+                    || s.buffer.front().is_none_or(|head| !self.allocatable(ctx, head))),
+                "stuck router skipped a bindable head"
+            );
+            self.stalls.vc_starved += self.unbound_heads as u64;
+            return;
+        }
+        self.va_epoch += 1;
+        let mut bound_any = false;
         let mut remaining = self.unbound_heads;
         let mut idx = start;
         for _ in 0..total_vcs {
@@ -348,7 +441,15 @@ impl Router {
                     // in release too rather than route corrupt state.
                     assert!(head.is_head, "body flit at head of an unbound VC");
                     remaining -= 1;
-                    if let Some((out_port, out_vc, escape)) = self.select_output(ctx, &head) {
+                    if self.memos > 0 && self.still_failed(idx) {
+                        debug_assert!(
+                            !self.allocatable(ctx, &head),
+                            "memo skipped a bindable head"
+                        );
+                        self.stalls.vc_starved += 1;
+                    } else if let Some((out_port, out_vc, escape)) =
+                        self.select_output(ctx, &head)
+                    {
                         let (port, vc) = (idx / self.params.vcs, idx % self.params.vcs);
                         self.outputs[out_port * self.params.vcs + out_vc].owner =
                             Some((port, vc));
@@ -359,8 +460,13 @@ impl Router {
                         state.escape_committed = escape;
                         self.unbound_heads -= 1;
                         self.sa_candidates[port] += 1;
+                        bound_any = true;
+                        if self.memos > 0 && self.failed[idx].epoch != 0 {
+                            self.failed[idx].epoch = 0;
+                            self.memos -= 1;
+                        }
                     } else {
-                        self.stalls.vc_starved += 1;
+                        self.memoize_failure(ctx, idx, &head);
                     }
                     if remaining == 0 {
                         break;
@@ -372,6 +478,74 @@ impl Router {
                 idx = 0;
             }
         }
+        self.va_stuck = !bound_any;
+    }
+
+    /// Counts and memoizes a failed selection for the head of input VC
+    /// `idx`. Out of line: below the knee heads almost always bind.
+    #[cold]
+    #[inline(never)]
+    fn memoize_failure(&mut self, ctx: RouteContext<'_>, idx: usize, head: &Flit) {
+        self.stalls.vc_starved += 1;
+        if self.failed[idx].epoch == 0 {
+            self.memos += 1;
+        }
+        let ports = self.candidate_ports(ctx, head);
+        self.failed[idx] = FailedHead { ports, epoch: self.va_epoch };
+    }
+
+    /// Visits the output VCs [`Self::select_output`] may bind `head` to:
+    /// `f(port, vcs, need)` for each candidate port, where an output VC
+    /// in `vcs` qualifies when it is unowned and holds at least `need`
+    /// credits.
+    fn for_each_candidate(
+        &self,
+        ctx: RouteContext<'_>,
+        head: &Flit,
+        mut f: impl FnMut(usize, std::ops::Range<VcId>, usize),
+    ) {
+        let vcs = self.params.vcs;
+        let dest_router = ctx.router_of(head.dest);
+        if dest_router == self.id {
+            f(self.num_net_ports + head.dest % ctx.endpoints_per_router, 0..vcs, 1);
+            return;
+        }
+        let escape_port = ctx.tables.escape_port(self.id, dest_router);
+        match (ctx.tables.kind(), head.escape) {
+            (RoutingKind::MinimalAdaptiveEscape, true) => f(escape_port, 0..1, 1),
+            (RoutingKind::MinimalAdaptiveEscape, false) => {
+                for &p in ctx.tables.minimal_ports(self.id, dest_router) {
+                    f(usize::from(p), 1..vcs, 1);
+                }
+                f(escape_port, 0..1, if self.params.model.bubble_escape { 2 } else { 1 });
+            }
+            (RoutingKind::MinimalDeterministic, _) => {
+                if let Some(&p) = ctx.tables.minimal_ports(self.id, dest_router).first() {
+                    f(usize::from(p), 0..vcs, 1);
+                }
+            }
+            (RoutingKind::UpDownOnly, _) => f(escape_port, 0..vcs, 1),
+        }
+    }
+
+    /// The [`port_bit`] mask of `head`'s candidate output ports.
+    fn candidate_ports(&self, ctx: RouteContext<'_>, head: &Flit) -> u64 {
+        let mut ports = 0;
+        self.for_each_candidate(ctx, head, |port, _, _| ports |= 1 << port_bit(port));
+        ports
+    }
+
+    /// Pure, RNG-free twin of [`Self::select_output`]'s success test:
+    /// `true` if any candidate output VC of `head` is allocatable.
+    fn allocatable(&self, ctx: RouteContext<'_>, head: &Flit) -> bool {
+        let mut found = false;
+        self.for_each_candidate(ctx, head, |port, vcs, need| {
+            found |= vcs.into_iter().any(|v| {
+                let out = &self.outputs[port * self.params.vcs + v];
+                out.owner.is_none() && out.credits >= need
+            });
+        });
+        found
     }
 
     /// Chooses a free output (port, vc) for a head flit, or `None` to stall.
@@ -680,6 +854,7 @@ impl Router {
             self.outputs[out_idx].credits -= 1;
             if flit.is_tail {
                 self.outputs[out_idx].owner = None;
+                self.raise(out_port);
                 self.inputs[in_idx].bound = None;
                 self.inputs[in_idx].bound_packet = None;
                 self.inputs[in_idx].escape_committed = false;
@@ -688,6 +863,7 @@ impl Router {
                     // Wormhole invariant: the flit behind a departed tail
                     // is the next packet's head, now awaiting allocation.
                     self.unbound_heads += 1;
+                    self.va_stuck = false;
                 }
             } else if self.inputs[in_idx].buffer.is_empty() {
                 // Bound but starved mid-packet; receive_flit re-arms the
@@ -712,6 +888,15 @@ impl Router {
                 .filter(|s| s.bound.is_none() && !s.buffer.is_empty())
                 .count();
             debug_assert_eq!(heads, self.unbound_heads, "unbound-head counter out of sync");
+            let memos = self.failed.iter().filter(|f| f.epoch != 0).count();
+            debug_assert_eq!(memos, self.memos, "memo counter out of sync");
+            debug_assert!(
+                self.failed
+                    .iter()
+                    .zip(&self.inputs)
+                    .all(|(f, s)| f.epoch == 0 || (s.bound.is_none() && !s.buffer.is_empty())),
+                "memo held by a VC without a waiting head"
+            );
             for port in 0..self.num_ports {
                 let cands = (0..vcs)
                     .filter(|&v| {
@@ -803,9 +988,14 @@ impl Router {
 
     /// Recomputes `buffered`, `unbound_heads` and `sa_candidates` from the
     /// input VC state (the non-debug twin of [`Self::debug_check_counters`],
-    /// used after a fault purge invalidates the incremental counts).
+    /// used after a fault purge invalidates the incremental counts), and
+    /// drops every allocation memo: a purge frees output VCs and exposes
+    /// new heads, and it follows every routing-table rebuild.
     fn recount_counters(&mut self) {
         let vcs = self.params.vcs;
+        self.va_stuck = false;
+        self.failed.fill(FailedHead::default());
+        self.memos = 0;
         self.buffered = self.inputs.iter().map(|s| s.buffer.len()).sum();
         self.unbound_heads =
             self.inputs.iter().filter(|s| s.bound.is_none() && !s.buffer.is_empty()).count();
@@ -1091,6 +1281,112 @@ mod tests {
         assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].flit.packet, 11);
         assert!(r.is_drained());
+    }
+
+    /// Router 1 of path 0-1-2 (ports: 0 → router 0, 1 → router 2, 2 →
+    /// endpoint 1) with deterministic routing, and a two-flit packet A
+    /// from port 0 bound to output (1, 0) with its head already sent.
+    /// Output VC (1, 1) is unowned but credit-less, so any further head
+    /// toward router 2 is blocked until A's tail leaves.
+    fn blocked_behind_packet_a() -> (Router, RoutingTables) {
+        let t = tables(&gen::path(3), RoutingKind::MinimalDeterministic);
+        let mut r = Router::new(1, 2, 1, params());
+        r.outputs[3].credits = 0;
+        let mut a = head_flit(2, 0);
+        a.packet = 10;
+        a.is_tail = false;
+        r.receive_flit(0, a);
+        r.allocate_vcs(RouteContext { tables: &t, endpoints_per_router: 1 });
+        assert_eq!(r.inputs[0].bound, Some((1, 0)));
+        let (mut sent, mut credits) = (Vec::new(), Vec::new());
+        r.allocate_switch(&mut sent, &mut credits);
+        assert_eq!(sent.len(), 1, "A's head leaves");
+        (r, t)
+    }
+
+    #[test]
+    fn credit_on_unowned_vc_unblocks_memoized_head() {
+        let (mut r, t) = blocked_behind_packet_a();
+        let ctx = RouteContext { tables: &t, endpoints_per_router: 1 };
+        r.receive_flit(2, head_flit(2, 0));
+        r.allocate_vcs(ctx);
+        r.allocate_vcs(ctx);
+        assert!(r.va_stuck && r.still_failed(4), "the blocked head is memoized");
+        assert_eq!(r.stalls.vc_starved, 2);
+        r.receive_credit(1, Credit { vc: 1 });
+        assert!(!r.va_stuck && !r.still_failed(4), "a credit on an unowned VC raises");
+        r.allocate_vcs(ctx);
+        assert_eq!(r.inputs[4].bound, Some((1, 1)));
+        assert_eq!(r.stalls.vc_starved, 2);
+    }
+
+    #[test]
+    fn tail_release_unblocks_memoized_head() {
+        let (mut r, t) = blocked_behind_packet_a();
+        let ctx = RouteContext { tables: &t, endpoints_per_router: 1 };
+        r.receive_flit(2, head_flit(2, 0));
+        r.allocate_vcs(ctx);
+        assert!(r.va_stuck);
+        // A's tail lands in a bound VC: not a raise, the head stays put.
+        let mut tail = head_flit(2, 0);
+        (tail.packet, tail.index, tail.is_head) = (10, 1, false);
+        r.receive_flit(0, tail);
+        r.allocate_vcs(ctx);
+        assert!(r.va_stuck);
+        assert_eq!(r.stalls.vc_starved, 2);
+        let (mut sent, mut credits) = (Vec::new(), Vec::new());
+        r.allocate_switch(&mut sent, &mut credits);
+        assert!(
+            sent[0].flit.is_tail && r.outputs[2].owner.is_none(),
+            "A's tail releases (1, 0)"
+        );
+        r.allocate_vcs(ctx);
+        assert_eq!(r.inputs[4].bound, Some((1, 0)));
+    }
+
+    #[test]
+    fn bubble_escape_entry_unblocks_at_two_credits() {
+        let g = gen::cycle(4);
+        let t = tables(&g, RoutingKind::MinimalAdaptiveEscape);
+        let ctx = RouteContext { tables: &t, endpoints_per_router: 1 };
+        let model = RouterModel { bubble_escape: true, ..RouterModel::default() };
+        let mut r = Router::new(0, 2, 1, RouterParams { model, ..params() });
+        // Router 2 is two hops away either way: both net ports are
+        // minimal. Starve their adaptive VCs and leave the escape VC one
+        // credit, below the bubble rule's entry threshold.
+        for port in 0..2 {
+            r.outputs[port * 2 + 1].credits = 0;
+        }
+        let escape = t.escape_port(0, 2);
+        r.outputs[escape * 2].credits = 1;
+        r.receive_flit(2, head_flit(2, 0));
+        r.allocate_vcs(ctx);
+        r.allocate_vcs(ctx);
+        assert!(r.va_stuck && r.inputs[4].bound.is_none());
+        assert_eq!(r.stalls.vc_starved, 2);
+        r.receive_credit(escape, Credit { vc: 0 });
+        r.allocate_vcs(ctx);
+        assert_eq!(r.inputs[4].bound, Some((escape, 0)));
+        assert!(r.inputs[4].escape_committed);
+    }
+
+    #[test]
+    fn credit_on_owned_vc_keeps_the_memo() {
+        let (mut r, t) = blocked_behind_packet_a();
+        let ctx = RouteContext { tables: &t, endpoints_per_router: 1 };
+        // Two blocked heads, on both VCs of the endpoint port.
+        r.receive_flit(2, head_flit(2, 0));
+        r.receive_flit(2, head_flit(2, 1));
+        r.allocate_vcs(ctx);
+        assert_eq!(r.stalls.vc_starved, 2);
+        // (1, 0) is owned by A: its credit cannot help the heads.
+        r.receive_credit(1, Credit { vc: 0 });
+        assert!(r.va_stuck && r.still_failed(4) && r.still_failed(5));
+        for cycle in 2..6 {
+            r.allocate_vcs(ctx);
+            assert_eq!(r.stalls.vc_starved, 2 * cycle, "every head counts every cycle");
+        }
+        assert!(r.inputs[4].bound.is_none() && r.inputs[5].bound.is_none());
     }
 
     #[test]
