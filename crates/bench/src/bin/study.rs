@@ -27,9 +27,10 @@
 //!
 //! A spec's `seed` / `replicates` / `output` keys act as defaults for
 //! the matching flags, so checked-in specs pin their reproduction
-//! exactly; explicit flags always win. Presets reproduce the historical
-//! binaries byte for byte at equal flags — pinned by the golden tests
-//! and the `study-vs-legacy` CI job.
+//! exactly; explicit flags always win. `study --preset NAME` is the only
+//! way to run a preset. The golden tests pin the stages' rows, and the
+//! `study-spec-vs-preset` CI job (`scripts/ci_study_diff.sh`) diffs each
+//! checked-in spec file against its preset.
 
 use chiplet_workload::WorkloadKind;
 use hexamesh::arrangement::ArrangementKind;
@@ -116,6 +117,26 @@ fn apply_overrides(spec: &mut StudySpec, args: &[String]) {
     }
 }
 
+/// Runs the spec through the study flow with the arrangement-search
+/// hooks, prints the stage summary and the paths written, and exits 1 on
+/// failure.
+fn run_and_report(spec: &StudySpec, args: xp::cli::CampaignArgs) {
+    match xp::flow::run_study(spec, args, &chiplet_arrange::study::hooks()) {
+        Ok(report) => {
+            for line in &report.summary {
+                println!("{line}");
+            }
+            for path in report.written {
+                println!("wrote {}", path.display());
+            }
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// `study serve`: a resident server answering JSONL spec requests from
 /// the content-addressed result cache (see `xp::serve`). Without
 /// `--socket`, requests stream over stdin and events over stdout; the
@@ -198,5 +219,5 @@ fn main() {
     let shared = strict(xp::flow::campaign_args_for(&spec, &args));
 
     eprintln!("study: {} (stage {})", spec.name, spec.stage);
-    presets::run_and_report(&spec, shared);
+    run_and_report(&spec, shared);
 }

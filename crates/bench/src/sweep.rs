@@ -21,9 +21,8 @@ pub use xp::stats::{mean, mean_of, Summary};
 
 /// Applies the baseline-binary convention: when `--out` is absent, write
 /// to the repository root — where the tracked `BENCH_*` records live —
-/// instead of the `results/` default. Shared by `simperf`,
-/// `workload_comparison`, and `arrangement_search` (spec-driven studies
-/// express the same through `output.to_repo_root`).
+/// instead of the `results/` default. Used by `simperf` (spec-driven
+/// studies express the same through `output.to_repo_root`).
 pub fn default_out_to_repo_root(args: &[String], shared: &mut CampaignArgs) {
     if !arg_flag(args, "--out") {
         shared.out = std::path::PathBuf::from(".");

@@ -6,7 +6,6 @@ use std::fmt;
 
 use nocsim::measure::{self, LoadPointResult, SaturationResult};
 use nocsim::{LinkSpec, MeasureConfig, SimConfig, SimError};
-use serde::{Deserialize, Serialize};
 
 use crate::arrangement::{Arrangement, ArrangementKind, Regularity};
 use crate::link::{self, estimate_link, LinkEstimate, LinkModelError, LinkParams};
@@ -59,7 +58,7 @@ impl From<SimError> for EvalError {
 }
 
 /// All parameters of the §VI evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive] // construct via paper_defaults()/quick() and mutate
 pub struct EvalParams {
     /// Combined compute-chiplet area `A_all` in mm² (§VI-B: 800).
@@ -112,7 +111,7 @@ impl Default for EvalParams {
 
 /// The per-arrangement link budget: chiplet area, sector area, and the
 /// resulting per-link and full-global bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkBudget {
     /// Chiplet area `A_C = A_all / N` in mm².
     pub chiplet_area_mm2: f64,
@@ -167,7 +166,7 @@ pub fn link_budget(
 }
 
 /// A fully evaluated arrangement: one row of Fig. 7's underlying data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalResult {
     /// Arrangement family.
     pub kind: ArrangementKind,
@@ -354,7 +353,7 @@ pub fn evaluate_analytic(
 
 /// One point of Fig. 7c/7d: a variant's latency and throughput relative to
 /// the grid baseline at the same `N` (100 = parity).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormalizedPoint {
     /// Chiplet count.
     pub n: usize,

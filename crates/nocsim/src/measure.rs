@@ -5,7 +5,6 @@
 //! throughput; find the saturation point by searching over injection rates.
 
 use chiplet_graph::Graph;
-use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultPlan;
 use crate::flit::RouterId;
@@ -15,7 +14,7 @@ use crate::shard::ShardedSimulator;
 use crate::sim::{LinkSpec, NetworkStats, SimConfig, SimError, Simulator};
 
 /// Warmup/measurement schedule and saturation criteria.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive] // new criteria ride in via Default/mutation, not literals
 pub struct MeasureConfig {
     /// Cycles simulated before the measurement window opens.
@@ -68,7 +67,7 @@ impl MeasureConfig {
 }
 
 /// Result of simulating one load point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadPointResult {
     /// Offered load (flits/cycle/endpoint) this point was run at.
     pub offered: f64,
@@ -81,7 +80,7 @@ pub struct LoadPointResult {
 }
 
 /// Outcome of the saturation search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SaturationResult {
     /// Highest stable injection rate found (flits/cycle/endpoint).
     pub rate: f64,

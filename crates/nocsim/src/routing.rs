@@ -15,13 +15,12 @@
 //!   ablation).
 
 use chiplet_graph::{bfs, metrics, Graph};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::flit::RouterId;
 
 /// Routing algorithm selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RoutingKind {
     /// Single deterministic shortest path (BookSim2 `anynet`-style).
     MinimalDeterministic,
@@ -34,7 +33,7 @@ pub enum RoutingKind {
 
 impl RoutingKind {
     /// Canonical name, as accepted by the [`std::str::FromStr`] parser
-    /// and by `--routing` flags / study-spec files: `deterministic`,
+    /// and by the `[sim] routing` key of study specs: `deterministic`,
     /// `adaptive`, `updown`. Round-trips through `parse`.
     #[must_use]
     pub fn name(&self) -> &'static str {

@@ -18,7 +18,6 @@ use nocsim::measure::{
     saturation_search_with_specs, simulated_zero_load_latency, MeasureConfig,
 };
 use nocsim::{LinkSpec, SaturationResult, SimConfig, SimError};
-use serde::{Deserialize, Serialize};
 
 use crate::topology::Topology;
 
@@ -112,7 +111,7 @@ impl From<SimError> for TopoEvalError {
 }
 
 /// Physical operating point of one link after derating.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkOperatingPoint {
     /// Link endpoints (`u < v`).
     pub u: usize,
@@ -127,7 +126,7 @@ pub struct LinkOperatingPoint {
 }
 
 /// Result of evaluating one topology.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TopoEval {
     /// Topology name.
     pub name: String,

@@ -117,11 +117,10 @@ impl Campaign {
         Ok(Some(path))
     }
 
-    /// Reporting knobs for a pool run under this campaign: ticker always,
-    /// per-job stderr lines under `--progress`, spans when tracing.
+    /// Reporting knobs for a pool run under this campaign: per-job stderr
+    /// lines under `--progress`, spans when tracing.
     fn pool_options(&self) -> PoolOptions<'_> {
         PoolOptions {
-            ticker: Some(&self.name),
             per_job: self.args.progress.then_some(self.name.as_str()),
             collect_spans: self.trace.lock().unwrap().is_some(),
         }

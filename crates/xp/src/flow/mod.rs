@@ -1,18 +1,18 @@
 //! The study flow: executes a [`StudySpec`] through the engine.
 //!
-//! [`run_study`] is the one runner behind every experiment binary: it
-//! resolves the spec's axes against the stage defaults, compiles them
-//! onto the existing [`crate::grid::Scenario`] / ad-hoc-job machinery,
-//! runs the jobs through a [`Campaign`] (worker pool, coordinate-derived
-//! seeds, replicate aggregation), and writes the result tables through
-//! the unified sinks — with the resolved spec embedded as the manifest's
+//! [`run_study`] is the one runner behind the `study` binary (every
+//! preset and spec file) and the serving layer: it resolves the spec's
+//! axes against the stage defaults ([`resolved_axes`], the one place
+//! those defaults are written), compiles them onto the existing
+//! [`crate::grid::Scenario`] / ad-hoc-job machinery, runs the jobs
+//! through a [`Campaign`] (worker pool, coordinate-derived seeds,
+//! replicate aggregation), and writes the result tables through the
+//! unified sinks — with the resolved spec embedded as the manifest's
 //! `config` object, so every output file records the study that produced
 //! it.
 //!
-//! The stages that replaced hand-wired binaries (`fig7_simulation`,
-//! `load_curves`, `ablation_traffic`, `workload_comparison`,
-//! `kite_comparison`, `arrangement_search`) emit **byte-identical CSV**
-//! to what those binaries always wrote for the same axes and seeds —
+//! The stages emit **byte-identical CSV** to what the hand-wired
+//! experiment binaries they replaced wrote for the same axes and seeds —
 //! pinned by the golden tests in `crates/bench/tests/golden_study.rs`.
 //!
 //! # Hooks
@@ -46,7 +46,7 @@ use nocsim::{
 use crate::campaign::StageRecord;
 use crate::cli::CampaignArgs;
 use crate::grid::{expand_replicates, kind_code, pattern_code, Scenario, OPTIMIZED_KIND_CODE};
-use crate::spec::{StageKind, StudySpec};
+use crate::spec::{Axes, StageKind, StudySpec};
 use crate::stats::mean_of;
 use crate::table::{f3, Table};
 use crate::Campaign;
@@ -214,13 +214,6 @@ impl fmt::Debug for StageHooks<'_> {
 /// [`CampaignArgs::try_parse`].
 pub fn campaign_args_for(spec: &StudySpec, argv: &[String]) -> Result<CampaignArgs, String> {
     let mut args = CampaignArgs::try_parse(argv)?;
-    apply_spec_defaults(spec, &mut args, argv);
-    Ok(args)
-}
-
-/// The flag-application half of [`campaign_args_for`], for callers that
-/// already parsed (and possibly adjusted) their [`CampaignArgs`].
-pub fn apply_spec_defaults(spec: &StudySpec, args: &mut CampaignArgs, argv: &[String]) {
     let has = |flag: &str| argv.iter().any(|a| a == flag);
     if let Some(seed) = spec.seed {
         if !has("--seed") {
@@ -239,6 +232,7 @@ pub fn apply_spec_defaults(spec: &StudySpec, args: &mut CampaignArgs, argv: &[St
             args.out = std::path::PathBuf::from(dir);
         }
     }
+    Ok(args)
 }
 
 /// Runs a study end to end: resolve the spec, execute its stage on the
@@ -284,9 +278,10 @@ pub fn run_study(
 
 /// Executes the spec's stage on an existing campaign and returns its
 /// tables without touching the sinks — the serving layer's entry point
-/// ([`run_study`] is this plus validation, axis resolution, and the
-/// sink writes). The spec should already be validated; axes the caller
-/// left unresolved fall back to the stage defaults.
+/// ([`run_study`] is this plus validation, the manifest's resolved
+/// `config`, and the sink writes). The spec should already be
+/// validated; axes it leaves unset resolve to the stage defaults of
+/// [`resolved_axes`] under the campaign's flags.
 ///
 /// # Errors
 ///
@@ -297,6 +292,8 @@ pub fn run_stage(
     hooks: &StageHooks,
 ) -> Result<StageOutput, StudyError> {
     campaign.set_stage(spec.stage.name());
+    let resolved = resolved_axes(spec, campaign.args());
+    let spec = &resolved;
     match spec.stage {
         StageKind::Proxies => proxies_stage(spec, campaign),
         StageKind::Saturation => saturation_stage(spec, campaign),
@@ -333,8 +330,15 @@ pub fn run_stage(
 #[must_use]
 pub fn resolved_axes(spec: &StudySpec, args: &CampaignArgs) -> StudySpec {
     let mut resolved = spec.clone();
-    let axes = &mut resolved.axes;
-    match spec.stage {
+    fill_stage_defaults(&mut resolved.axes, spec.stage, args.quick);
+    resolved
+}
+
+/// The stage-default table behind [`resolved_axes`]: fills every axis
+/// `stage` reads and `axes` leaves unset. `quick` selects the CI-sized
+/// chiplet counts of the workload and router stages.
+fn fill_stage_defaults(axes: &mut Axes, stage: StageKind, quick: bool) {
+    match stage {
         StageKind::Proxies => {
             axes.kinds.get_or_insert_with(|| ArrangementKind::EVALUATED.to_vec());
             axes.ns.get_or_insert_with(|| (1..=100).collect());
@@ -357,13 +361,8 @@ pub fn resolved_axes(spec: &StudySpec, args: &CampaignArgs) -> StudySpec {
         }
         StageKind::Workload => {
             axes.kinds.get_or_insert_with(|| ArrangementKind::ALL.to_vec());
-            axes.ns.get_or_insert_with(|| {
-                if args.quick {
-                    vec![7, 13, 19]
-                } else {
-                    vec![37, 61, 91]
-                }
-            });
+            axes.ns
+                .get_or_insert_with(|| if quick { vec![7, 13, 19] } else { vec![37, 61, 91] });
             axes.workloads.get_or_insert_with(|| WorkloadKind::ALL.to_vec());
         }
         StageKind::Kite => {
@@ -378,13 +377,7 @@ pub fn resolved_axes(spec: &StudySpec, args: &CampaignArgs) -> StudySpec {
         }
         StageKind::Router => {
             axes.kinds.get_or_insert_with(|| ArrangementKind::ALL.to_vec());
-            axes.ns.get_or_insert_with(|| {
-                if args.quick {
-                    vec![7, 13]
-                } else {
-                    vec![37, 91, 169]
-                }
-            });
+            axes.ns.get_or_insert_with(|| if quick { vec![7, 13] } else { vec![37, 91, 169] });
             axes.routers.get_or_insert_with(|| RouterModelKind::ALL.to_vec());
             // `workloads` stays as written: unset means open-loop only
             // (no makespan columns), which is a different table shape,
@@ -392,17 +385,13 @@ pub fn resolved_axes(spec: &StudySpec, args: &CampaignArgs) -> StudySpec {
         }
         StageKind::Resilience | StageKind::Search => {}
     }
-    resolved
 }
 
 // ── shared resolution helpers ───────────────────────────────────────────
 
-fn kinds_or(spec: &StudySpec, default: &[ArrangementKind]) -> Vec<ArrangementKind> {
-    spec.axes.kinds.clone().unwrap_or_else(|| default.to_vec())
-}
-
-fn ns_or(spec: &StudySpec, default: Vec<usize>) -> Vec<usize> {
-    spec.axes.ns.clone().unwrap_or(default)
+/// An axis of a spec that [`run_stage`] resolved for its stage.
+fn axis<T: Clone>(values: &Option<Vec<T>>) -> Vec<T> {
+    values.clone().expect("resolved_axes fills every axis the stage reads")
 }
 
 /// The saturation-search schedule: the spec's explicit [`crate::spec::Schedule`],
@@ -459,8 +448,8 @@ fn require_optimized_hook<'a>(
 // ── proxies stage ───────────────────────────────────────────────────────
 
 fn proxies_stage(spec: &StudySpec, _campaign: &Campaign) -> Result<StageOutput, StudyError> {
-    let kinds = kinds_or(spec, &ArrangementKind::EVALUATED);
-    let ns = ns_or(spec, (1..=100).collect());
+    let kinds = axis(&spec.axes.kinds);
+    let ns = axis(&spec.axes.ns);
     let points = sweep::proxy_sweep_over(&kinds, &ns);
     let mut table = Table::new(&["kind", "regularity", "n", "diameter", "bisection"]);
     for p in &points {
@@ -488,9 +477,9 @@ fn proxies_stage(spec: &StudySpec, _campaign: &Campaign) -> Result<StageOutput, 
 // ── saturation stage (the Fig. 7 pipeline) ──────────────────────────────
 
 fn saturation_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, StudyError> {
-    let kinds = kinds_or(spec, &ArrangementKind::EVALUATED);
-    let ns = ns_or(spec, (2..=100).collect());
-    let pattern = spec.axes.patterns.as_ref().map_or(TrafficPattern::UniformRandom, |p| p[0]);
+    let kinds = axis(&spec.axes.kinds);
+    let ns = axis(&spec.axes.ns);
+    let pattern = axis(&spec.axes.patterns)[0];
     let fanout = spec.saturation.fanout.unwrap_or(1).max(1);
     let mut params = EvalParams::paper_defaults();
     params.sim = base_sim(spec);
@@ -600,10 +589,9 @@ const DEFAULT_TRAFFIC_PATTERNS: [TrafficPattern; 5] = [
 ];
 
 fn traffic_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, StudyError> {
-    let kinds = kinds_or(spec, &ArrangementKind::EVALUATED);
-    let ns = ns_or(spec, vec![37]);
-    let patterns =
-        spec.axes.patterns.clone().unwrap_or_else(|| DEFAULT_TRAFFIC_PATTERNS.to_vec());
+    let kinds = axis(&spec.axes.kinds);
+    let ns = axis(&spec.axes.ns);
+    let patterns = axis(&spec.axes.patterns);
     let schedule = measure_for(spec, campaign.args());
     let sim = base_sim(spec);
 
@@ -773,11 +761,11 @@ pub struct CurveCell {
 /// the `optimized` axis, which has no fixed-family cells.
 #[must_use]
 pub fn load_curve_cells(spec: &StudySpec) -> Vec<CurveCell> {
-    let kinds = kinds_or(spec, &ArrangementKind::EVALUATED);
-    let ns = ns_or(spec, vec![37]);
-    let rates = spec.axes.rates.clone().unwrap_or_else(default_curve_rates);
-    let patterns =
-        spec.axes.patterns.clone().unwrap_or_else(|| vec![TrafficPattern::UniformRandom]);
+    let mut axes = spec.axes.clone();
+    // The load-curve defaults are the same under every schedule tier.
+    fill_stage_defaults(&mut axes, StageKind::LoadCurve, false);
+    let (kinds, ns, rates, patterns) =
+        (axis(&axes.kinds), axis(&axes.ns), axis(&axes.rates), axis(&axes.patterns));
     let mut cells = Vec::with_capacity(kinds.len() * ns.len() * rates.len() * patterns.len());
     for &kind in &kinds {
         for &n in &ns {
@@ -1056,11 +1044,10 @@ fn load_curve_stage(
     campaign: &Campaign,
     hooks: &StageHooks,
 ) -> Result<StageOutput, StudyError> {
-    let kinds = kinds_or(spec, &ArrangementKind::EVALUATED);
-    let ns = ns_or(spec, vec![37]);
-    let rates: Vec<f64> = spec.axes.rates.clone().unwrap_or_else(default_curve_rates);
-    let patterns =
-        spec.axes.patterns.clone().unwrap_or_else(|| vec![TrafficPattern::UniformRandom]);
+    let kinds = axis(&spec.axes.kinds);
+    let ns = axis(&spec.axes.ns);
+    let rates = axis(&spec.axes.rates);
+    let patterns = axis(&spec.axes.patterns);
     // Per-point simulation windows: the historical 4k/8k by default,
     // shortened by --quick, paper-scale under --full.
     let windows = curve_windows(spec, campaign.args());
@@ -1214,10 +1201,9 @@ fn workload_stage(
 ) -> Result<StageOutput, StudyError> {
     use chiplet_workload::WorkloadStats;
 
-    let kinds = kinds_or(spec, &ArrangementKind::ALL);
-    let ns =
-        ns_or(spec, if campaign.args().quick { vec![7, 13, 19] } else { vec![37, 61, 91] });
-    let workloads = spec.axes.workloads.clone().unwrap_or_else(|| WorkloadKind::ALL.to_vec());
+    let kinds = axis(&spec.axes.kinds);
+    let ns = axis(&spec.axes.ns);
+    let workloads = axis(&spec.axes.workloads);
     let max_cycles = spec.workload.max_cycles.unwrap_or(DEFAULT_MAX_CYCLES);
     let sim = base_sim(spec);
     let optimized = require_optimized_hook(spec, hooks)?;
@@ -1441,7 +1427,7 @@ fn kite_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, Stud
     use chiplet_phy::Technology;
     use chiplet_topo::{evaluate, EvalOptions};
 
-    let ns = ns_or(spec, vec![16, 25, 36, 49]);
+    let ns = axis(&spec.axes.ns);
     // The grid-side variants are side×side meshes and the bandwidth math
     // divides the fixed silicon budget by `n`, so every row of one `n`
     // must describe the same system size: only perfect squares (≥ 2×2)
@@ -1684,11 +1670,11 @@ fn degradation_point(
 fn resilience_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, StudyError> {
     use chiplet_graph::resilience::{articulation_points, bridges, edge_connectivity};
 
-    let kinds = kinds_or(spec, &ArrangementKind::EVALUATED);
-    let ns = ns_or(spec, STRUCTURAL_RESILIENCE_NS.to_vec());
+    let kinds = spec.axes.kinds.clone().unwrap_or_else(|| ArrangementKind::EVALUATED.to_vec());
+    let ns = spec.axes.ns.clone().unwrap_or_else(|| STRUCTURAL_RESILIENCE_NS.to_vec());
     let k = campaign.args().seeds.max(1) as usize;
 
-    // ── Structural table (byte-identical to the legacy binary) ──────────
+    // ── Structural table (byte-identical to the pre-preset binary) ──────
     let scenario = Scenario::new(&kinds, &ns);
     let results = campaign.run_grid(&scenario, |job| {
         let arrangement = Arrangement::build(job.kind, job.n).expect("any n builds");
@@ -1730,7 +1716,8 @@ fn resilience_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput
     // Default kinds include the honeycomb: the degradation story is about
     // all four families, while the structural table keeps the legacy
     // EVALUATED trio.
-    let degrade_kinds = kinds_or(spec, &ArrangementKind::ALL);
+    let degrade_kinds =
+        spec.axes.kinds.clone().unwrap_or_else(|| ArrangementKind::ALL.to_vec());
     let fault_ns =
         spec.faults.ns.clone().unwrap_or_else(|| degradation_ns(campaign.args().quick));
     let failure_counts = spec.faults.link_failures.clone().unwrap_or_else(|| vec![0, 1, 2, 4]);
@@ -1831,9 +1818,9 @@ fn resilience_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput
 // ── router stage (microarchitecture fidelity re-ranking) ────────────────
 
 fn router_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, StudyError> {
-    let kinds = kinds_or(spec, &ArrangementKind::ALL);
-    let ns = ns_or(spec, if campaign.args().quick { vec![7, 13] } else { vec![37, 91, 169] });
-    let routers = spec.axes.routers.clone().unwrap_or_else(|| RouterModelKind::ALL.to_vec());
+    let kinds = axis(&spec.axes.kinds);
+    let ns = axis(&spec.axes.ns);
+    let routers = axis(&spec.axes.routers);
     // The makespan half is opt-in: with `axes.workloads` set, every
     // (router, n, kind) point also runs those kernels closed-loop and
     // the table gains per-kernel makespan + rank columns.
@@ -2016,7 +2003,7 @@ fn thermal_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, S
     use chiplet_layout::ChipletKind;
     use chiplet_thermal::{solve, HotspotReport, PowerMap, ThermalParams};
 
-    let kinds = kinds_or(spec, &ArrangementKind::EVALUATED);
+    let kinds = axis(&spec.axes.kinds);
     if kinds.contains(&ArrangementKind::Honeycomb) {
         return Err(StudyError::Spec(
             "the thermal stage needs rectangular placements; the honeycomb has none \
@@ -2024,7 +2011,7 @@ fn thermal_stage(spec: &StudySpec, campaign: &Campaign) -> Result<StageOutput, S
                 .to_owned(),
         ));
     }
-    let ns = ns_or(spec, vec![16, 37, 64]);
+    let ns = axis(&spec.axes.ns);
 
     let mut jobs = Vec::new();
     for &n in &ns {
@@ -2103,7 +2090,7 @@ const COST_AREAS_MM2: [f64; 6] = [50.0, 100.0, 200.0, 400.0, 600.0, 800.0];
 fn cost_stage(spec: &StudySpec, _campaign: &Campaign) -> Result<StageOutput, StudyError> {
     use chiplet_cost::system::{best_chiplet_count, system_cost_comparison, CostParams};
 
-    let ns = ns_or(spec, vec![2, 4, 8, 16, 25, 36, 49, 64, 100]);
+    let ns = axis(&spec.axes.ns);
     let params = CostParams::default_5nm();
     let mut table = Table::new(&[
         "total_area_mm2",

@@ -132,7 +132,6 @@ pub fn evaluation_sweep(ns: &[usize], params: &EvalParams, workers: usize) -> Ve
             eval::evaluate(&arrangement, params)
                 .unwrap_or_else(|e| panic!("evaluate {kind} n={n}: {e}"))
         },
-        None,
     );
     results.sort_by_key(|r| (r.kind.label(), r.n));
     results
@@ -257,7 +256,7 @@ pub fn saturation_search_pooled(
 /// Full [`eval::evaluate`] with the saturation search's rate points spread
 /// over `workers` threads — [`saturation_search_pooled`] wrapped in the
 /// link-budget/zero-load pipeline. Used by the saturation stage's
-/// `fanout` spec field (`fig7_simulation --fanout F`).
+/// `[saturation] fanout` spec key.
 ///
 /// # Panics
 ///
@@ -291,7 +290,6 @@ fn run_rates_pooled(
             eval::measure_load_point(arrangement, params, rate, zero_load)
                 .unwrap_or_else(|e| panic!("load point at rate {rate}: {e}"))
         },
-        None,
     )
 }
 

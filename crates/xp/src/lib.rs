@@ -10,8 +10,8 @@
 //!   rate × traffic pattern × replicate seed, expanded into [`grid::Job`]s
 //!   with deterministic per-job seeds.
 //! * [`pool`] — a scoped-thread worker pool with large-job-first
-//!   scheduling and a progress ticker. Results are returned in job order,
-//!   so output is byte-identical for any `--workers` value.
+//!   scheduling and optional per-job progress lines. Results are returned
+//!   in job order, so output is byte-identical for any `--workers` value.
 //! * [`seed`] — splitmix64 seed derivation from campaign seed + job
 //!   coordinates (never from queue position).
 //! * [`stats`] — replicate aggregation: mean / sample std / 95% CI.
@@ -26,8 +26,8 @@
 //!   [`spec::StudySpec`] value (loadable from TOML/JSON through [`toml`] /
 //!   [`json`]) names a stage, axes, and overrides; [`flow::run_study`]
 //!   compiles it onto the grid/campaign machinery above and writes the
-//!   unified sinks. The `study` binary and every rewritten experiment
-//!   binary run through this one path.
+//!   unified sinks. The `study` binary (every preset and spec file) and
+//!   the serving layer run through this one path.
 //! * [`hash`] + [`cache`] + [`serve`] — the **serving layer**: `study
 //!   serve` keeps the engine resident and answers JSONL spec requests
 //!   from a content-addressed result cache (key = SHA-256 of the

@@ -8,15 +8,12 @@
 //! * **Deterministic output** — results are returned in *submission*
 //!   order, not completion order, so a campaign's rows are byte-identical
 //!   for any worker count.
-//! * **Progress** — an optional ticker reports `done/total` to stderr
-//!   every few seconds for long sweeps.
+//! * **Progress** — optional per-job completion lines on stderr
+//!   (`--progress`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// How often the progress ticker prints.
-const TICK: Duration = Duration::from_secs(2);
 
 /// One completed job's schedule record: which worker ran it and when,
 /// relative to the pool's start. Feeds the engine-level trace sink.
@@ -48,9 +45,6 @@ pub struct PoolReport {
 /// Reporting knobs for [`run_jobs_reported`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PoolOptions<'a> {
-    /// Label for the periodic `done/total` stderr ticker (`None` =
-    /// silent).
-    pub ticker: Option<&'a str>,
     /// Label for per-job completion lines on stderr (`--progress`);
     /// `None` = silent. Lines go to stderr only, so stdout sinks stay
     /// byte-identical.
@@ -72,26 +66,19 @@ pub fn budgeted_workers(workers: usize, threads_per_job: usize) -> usize {
 /// in submission order.
 ///
 /// `weight` estimates relative job cost; heavier jobs are dispatched
-/// first. `progress` labels the stderr ticker (`None` = silent).
+/// first.
 ///
 /// # Panics
 ///
 /// Propagates a panic from any job (the scope joins all workers first).
-pub fn run_jobs<J, R, W, F>(
-    jobs: &[J],
-    workers: usize,
-    weight: W,
-    run: F,
-    progress: Option<&str>,
-) -> Vec<R>
+pub fn run_jobs<J, R, W, F>(jobs: &[J], workers: usize, weight: W, run: F) -> Vec<R>
 where
     J: Sync,
     R: Send,
     W: Fn(&J) -> u64,
     F: Fn(&J) -> R + Sync,
 {
-    let options = PoolOptions { ticker: progress, ..PoolOptions::default() };
-    run_jobs_reported(jobs, workers, weight, run, options).0
+    run_jobs_reported(jobs, workers, weight, run, PoolOptions::default()).0
 }
 
 /// [`run_jobs`] plus a [`PoolReport`]: per-job schedule spans (when
@@ -128,21 +115,7 @@ where
     let done = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..total).map(|_| Mutex::new(None)).collect();
 
-    // Unwind-safe accounting: a counter incremented on drop, so a
-    // panicking `run` still counts its job and an unwinding worker still
-    // signs off. The ticker exits when every job is accounted for *or*
-    // every worker has stopped — otherwise a panic that kills the last
-    // worker with jobs still queued would leave the ticker (and the scope
-    // join) waiting forever.
-    struct CountOnDrop<'a>(&'a AtomicUsize);
-    impl Drop for CountOnDrop<'_> {
-        fn drop(&mut self) {
-            self.0.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     let num_workers = workers.max(1).min(total);
-    let workers_exited = AtomicUsize::new(0);
     let busy = AtomicUsize::new(0);
     let peak = AtomicUsize::new(0);
     let spans: Mutex<Vec<JobSpan>> = Mutex::new(Vec::new());
@@ -153,17 +126,14 @@ where
             let peak = &peak;
             let spans = &spans;
             let done = &done;
-            let workers_exited = &workers_exited;
             let queue = &queue;
             let slots = &slots;
             let run = &run;
             let options = &options;
             scope.spawn(move || {
-                let _exited = CountOnDrop(workers_exited);
                 loop {
                     let job = queue.lock().expect("queue lock").pop();
                     let Some(i) = job else { break };
-                    let _done = CountOnDrop(done);
                     let now_busy = busy.fetch_add(1, Ordering::Relaxed) + 1;
                     peak.fetch_max(now_busy, Ordering::Relaxed);
                     let start = Instant::now();
@@ -179,37 +149,15 @@ where
                             dur_ns: ns(dur),
                         });
                     }
+                    // Relaxed count: the line is informational, and stderr
+                    // never feeds an output sink.
+                    let d = done.fetch_add(1, Ordering::Relaxed) + 1;
                     if let Some(label) = options.per_job {
-                        // Relaxed count: the line is informational, and
-                        // stderr never feeds an output sink.
-                        let d = done.load(Ordering::Relaxed) + 1;
                         eprintln!(
                             "{label}: job {i} done in {} ms [{d}/{total}]",
                             dur.as_millis()
                         );
                     }
-                }
-            });
-        }
-        if let Some(label) = options.ticker {
-            let done = &done;
-            let workers_exited = &workers_exited;
-            scope.spawn(move || {
-                let mut last = 0;
-                let mut since_print = Duration::ZERO;
-                loop {
-                    let d = done.load(Ordering::Relaxed);
-                    if d >= total || workers_exited.load(Ordering::Relaxed) >= num_workers {
-                        break;
-                    }
-                    if d != last && since_print >= TICK {
-                        eprintln!("{label}: {d}/{total} jobs done");
-                        last = d;
-                        since_print = Duration::ZERO;
-                    }
-                    let step = Duration::from_millis(100);
-                    std::thread::sleep(step);
-                    since_print += step;
                 }
             });
         }
@@ -243,7 +191,7 @@ mod tests {
     fn results_come_back_in_submission_order() {
         let jobs: Vec<usize> = (0..50).collect();
         for workers in [1, 4, 8] {
-            let out = run_jobs(&jobs, workers, |&j| j as u64, |&j| j * 10, None);
+            let out = run_jobs(&jobs, workers, |&j| j as u64, |&j| j * 10);
             assert_eq!(out, (0..50).map(|j| j * 10).collect::<Vec<_>>());
         }
     }
@@ -259,7 +207,6 @@ mod tests {
             |&w| {
                 let _ = first.compare_exchange(u64::MAX, w, Ordering::SeqCst, Ordering::SeqCst);
             },
-            None,
         );
         assert_eq!(first.load(Ordering::SeqCst), 9);
     }
@@ -270,7 +217,7 @@ mod tests {
         // run serially they would need 400 ms.
         let jobs = vec![(); 8];
         let t0 = std::time::Instant::now();
-        run_jobs(&jobs, 8, |_| 1, |()| std::thread::sleep(Duration::from_millis(50)), None);
+        run_jobs(&jobs, 8, |_| 1, |()| std::thread::sleep(Duration::from_millis(50)));
         assert!(
             t0.elapsed() < Duration::from_millis(300),
             "pool did not overlap jobs: {:?}",
@@ -314,21 +261,21 @@ mod tests {
 
     #[test]
     fn empty_job_list_is_fine() {
-        let out: Vec<u32> = run_jobs(&Vec::<u32>::new(), 8, |_| 1, |&j| j, None);
+        let out: Vec<u32> = run_jobs(&Vec::<u32>::new(), 8, |_| 1, |&j| j);
         assert!(out.is_empty());
     }
 
     #[test]
     fn more_workers_than_jobs_is_fine() {
-        let out = run_jobs(&[7u32], 32, |_| 1, |&j| j + 1, None);
+        let out = run_jobs(&[7u32], 32, |_| 1, |&j| j + 1);
         assert_eq!(out, vec![8]);
     }
 
     #[test]
     #[should_panic(expected = "scoped thread panicked")]
-    fn panicking_job_propagates_even_with_ticker() {
-        // The ticker must terminate (all jobs accounted for) so the scope
-        // can join and rethrow — a hang here fails the test by timeout.
+    fn panicking_job_propagates() {
+        // The scope joins every worker and rethrows — a hang here fails
+        // the test by timeout.
         let jobs = vec![1u32, 2, 3];
         let _ = run_jobs(
             &jobs,
@@ -340,7 +287,6 @@ mod tests {
                 }
                 j
             },
-            Some("panics"),
         );
     }
 
@@ -348,8 +294,8 @@ mod tests {
     #[should_panic(expected = "scoped thread panicked")]
     fn sole_worker_panic_with_queued_jobs_does_not_hang() {
         // The first job kills the only worker while two jobs are still
-        // queued; the ticker must notice all workers exited and let the
-        // scope rethrow instead of waiting for done == total forever.
+        // queued; the scope must rethrow instead of waiting for the
+        // queued jobs forever.
         let jobs = vec![9u32, 1, 2];
         let _ = run_jobs(
             &jobs,
@@ -361,7 +307,6 @@ mod tests {
                 }
                 j
             },
-            Some("panics"),
         );
     }
 }
